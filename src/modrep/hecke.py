@@ -2,9 +2,17 @@
 
 The basis of the D-fold tensor power of an n-dimensional space is the
 lexicographically ordered list of index tuples, so every matrix built here
-is reproducible bit for bit. Entries live in [0, p); products go through
-float64 BLAS, which is exact because every intermediate value is an integer
-far below 2^53 at the sizes used here, and are reduced mod p afterwards.
+is reproducible bit for bit. Entries live in [0, p). Operators are built by
+index arithmetic on the basis tuples, and a matrix unit applied on the left
+is a row gather, since at one slot it is an injective partial map.
+
+Every X_i and T_i is a sum of slot permutations, so it preserves the weight
+spaces: the sets of basis tuples with the same multiset of entries. The
+relation suite and the eigenspace dimensions therefore work block by block,
+on the connected components of the operators' joint support
+(support_blocks), which for these operators are exactly the weight spaces.
+Block products go through float64 BLAS, exact because every accumulated
+value is an integer below 2^53 (checked), and are reduced mod p afterwards.
 """
 
 from __future__ import annotations
@@ -66,24 +74,50 @@ def mat_eye(dim: int) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact product mod p of two matrices, or pairwise of two (k, s, s)
+    stacks of blocks."""
     # float64 BLAS is exact as long as every accumulated value stays below
     # 2^53; entries are < p, so the inner dimension bounds the products
-    if a.shape[1] * (p - 1) ** 2 >= 2 ** 53:
-        raise InputError(f"matrix product of inner dimension {a.shape[1]} "
+    if a.shape[-1] * (p - 1) ** 2 >= 2 ** 53:
+        raise InputError(f"matrix product of inner dimension {a.shape[-1]} "
                          f"mod {p} would overflow exact float64 accumulation")
     c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return c % p
 
 
-def mat_pow(m: np.ndarray, k: int, p: int) -> np.ndarray:
-    result = mat_eye(m.shape[0])
-    base = np.asarray(m, dtype=np.int64) % p
-    while k:
-        if k & 1:
-            result = mat_mul(result, base, p)
-        base = mat_mul(base, base, p)
-        k >>= 1
-    return result
+def support_blocks(mats) -> list[np.ndarray]:
+    """Connected components of the union of the supports of square matrices
+    of one size, each a sorted index array, in order of their first index.
+
+    Every matrix of the list is block diagonal in these blocks, whatever its
+    entries. For the operators on a tensor power they are the weight spaces
+    (basis tuples with the same multiset of entries), since every X_i and
+    T_i is a sum of slot permutations."""
+    mats = [np.asarray(m) for m in mats]
+    dim = mats[0].shape[0]
+    adj = np.zeros((dim, dim), dtype=bool)
+    for m in mats:
+        adj |= m != 0
+    adj |= adj.T
+    seen = np.zeros(dim, dtype=bool)
+    blocks = []
+    for start in range(dim):
+        if seen[start]:
+            continue
+        frontier = np.zeros(dim, dtype=bool)
+        frontier[start] = True
+        comp = frontier.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~comp
+            comp |= frontier
+        seen |= comp
+        blocks.append(np.flatnonzero(comp))
+    return blocks
+
+
+def _diagonal_blocks(m: np.ndarray, stacks) -> list[np.ndarray]:
+    """The diagonal blocks of m, one (k, s, s) array per (k, s) index stack."""
+    return [m[idx[:, :, None], idx[:, None, :]] for idx in stacks]
 
 
 def _check_factors(factors, space, allow_empty=False):
@@ -95,6 +129,16 @@ def _check_factors(factors, space, allow_empty=False):
     return factors
 
 
+def _stride(a: int, space: TensorSpace) -> int:
+    """Index step of changing the entry at 1-based slot a by one."""
+    return space.n ** (space.factors - a)
+
+
+def _slot_entries(a: int, space: TensorSpace) -> np.ndarray:
+    """The (0-based) entry at slot a of every basis tuple, in basis order."""
+    return np.arange(space.dim) // _stride(a, space) % space.n
+
+
 def matrix_unit_action(i: int, j: int, factors, space: TensorSpace, p: int) -> np.ndarray:
     """Sum over the given 1-based slots of the matrix unit E_ij applied at
     that slot, identity elsewhere."""
@@ -102,15 +146,22 @@ def matrix_unit_action(i: int, j: int, factors, space: TensorSpace, p: int) -> n
     if not (1 <= i <= space.n and 1 <= j <= space.n):
         raise InputError(f"matrix unit indices ({i},{j}) out of range 1..{space.n}")
     factors = _check_factors(factors, space)
-    dim = space.dim
-    m = np.zeros((dim, dim), dtype=np.int64)
-    for col in range(dim):
-        t = space.tuple_of(col)
-        for a in factors:
-            if t[a - 1] == j - 1:
-                row = space.index_of(t[:a - 1] + (i - 1,) + t[a:])
-                m[row, col] += 1
-    return m % p
+    m = np.zeros((space.dim, space.dim), dtype=np.int64)
+    for a in factors:
+        cols = np.flatnonzero(_slot_entries(a, space) == j - 1)
+        m[cols + (i - j) * _stride(a, space), cols] += 1
+    if len(factors) >= p:  # an entry counts slots, so is below p otherwise
+        m %= p
+    return m
+
+
+def _add_left_unit(out, i: int, j: int, factors, space: TensorSpace, m) -> None:
+    """out += (E_ij spread over the slots) @ m, by row gathers: at one slot
+    E_ij is an injective partial map on basis tuples, sending the tuple with
+    j at that slot to the one with i there."""
+    for a in factors:
+        rows = np.flatnonzero(_slot_entries(a, space) == i - 1)
+        out[rows] += m[rows + (j - i) * _stride(a, space)]
 
 
 def casimir(factors, space: TensorSpace, p: int) -> np.ndarray:
@@ -122,14 +173,11 @@ def casimir(factors, space: TensorSpace, p: int) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=np.int64)
     if not factors:
         return m
-    units = {}
     for i in range(1, space.n + 1):
         for j in range(1, space.n + 1):
-            units[(i, j)] = matrix_unit_action(i, j, factors, space, p)
-    for i in range(1, space.n + 1):
-        for j in range(1, space.n + 1):
-            m = (m + mat_mul(units[(i, j)], units[(j, i)], p)) % p
-    return m
+            _add_left_unit(m, i, j, factors, space,
+                           matrix_unit_action(j, i, factors, space, p))
+    return m % p
 
 
 def casimir_normal_ordered(factors, space: TensorSpace, p: int) -> np.ndarray:
@@ -144,12 +192,12 @@ def casimir_normal_ordered(factors, space: TensorSpace, p: int) -> np.ndarray:
     n = space.n
     for i in range(1, n + 1):
         for j in range(1, i):
-            m = (m + 2 * mat_mul(matrix_unit_action(i, j, factors, space, p),
-                                 matrix_unit_action(j, i, factors, space, p), p)) % p
+            _add_left_unit(m, i, j, factors, space,
+                           2 * matrix_unit_action(j, i, factors, space, p))
     for i in range(1, n + 1):
         eii = matrix_unit_action(i, i, factors, space, p)
-        m = (m + mat_mul(eii, (eii + (n + 1 - 2 * i) * mat_eye(dim)) % p, p)) % p
-    return m
+        _add_left_unit(m, i, i, factors, space, eii + (n + 1 - 2 * i) * mat_eye(dim))
+    return m % p
 
 
 def tensor_casimir(a: int, factors, space: TensorSpace, p: int) -> np.ndarray:
@@ -167,20 +215,20 @@ def tensor_casimir(a: int, factors, space: TensorSpace, p: int) -> np.ndarray:
         return m
     for i in range(1, space.n + 1):
         for j in range(1, space.n + 1):
-            m = (m + mat_mul(matrix_unit_action(i, j, [a], space, p),
-                             matrix_unit_action(j, i, factors, space, p), p)) % p
-    return m
+            _add_left_unit(m, i, j, [a], space,
+                           matrix_unit_action(j, i, factors, space, p))
+    return m % p
 
 
 def swap_slots(a: int, b: int, space: TensorSpace, p: int) -> np.ndarray:
     """Permutation matrix exchanging two tensor slots."""
     require_prime(p)
-    dim = space.dim
-    m = np.zeros((dim, dim), dtype=np.int64)
-    for col in range(dim):
-        t = list(space.tuple_of(col))
-        t[a - 1], t[b - 1] = t[b - 1], t[a - 1]
-        m[space.index_of(tuple(t)), col] = 1
+    _check_factors([a, b], space)
+    cols = np.arange(space.dim)
+    shift = ((_slot_entries(b, space) - _slot_entries(a, space))
+             * (_stride(a, space) - _stride(b, space)))
+    m = np.zeros((space.dim, space.dim), dtype=np.int64)
+    m[cols + shift, cols] = 1
     return m
 
 
@@ -207,7 +255,12 @@ def verify_hecke_relations(n: int, N: int, d: int, p: int,
                            xs=None, ts=None) -> list[str]:
     """Check all six defining relation families as exact matrix identities
     over F_p; return the list of violations (empty on success). xs and ts
-    may be supplied to test the checker itself against corrupted operators."""
+    may be supplied to test the checker itself against corrupted operators.
+
+    All operators are block diagonal in the components of their joint
+    support (support_blocks: the weight spaces, for the real operators), so
+    the families are checked on the diagonal blocks, stacked by size, and a
+    relation is reported when it fails on any block."""
     _require_p3(p)
     if N < 1 or d < 0:
         raise InputError(f"bad shape N={N}, d={d}")
@@ -215,8 +268,14 @@ def verify_hecke_relations(n: int, N: int, d: int, p: int,
         xs = [build_Xi(i, N, d, n, p) for i in range(1, N + 1)]
     if ts is None:
         ts = [build_Ti(i, N, d, n, p) for i in range(1, N)]
-    dim = n ** (N + d)
-    eye = mat_eye(dim)
+    # the blocks, grouped by size into (k, s) index stacks
+    groups = {}
+    for blk in support_blocks(list(xs) + list(ts)):
+        groups.setdefault(blk.size, []).append(blk)
+    stacks = [np.array(group) for group in groups.values()]
+    xs = [_diagonal_blocks(m, stacks) for m in xs]
+    ts = [_diagonal_blocks(m, stacks) for m in ts]
+    eye = _diagonal_blocks(mat_eye(n ** (N + d)), stacks)
     report = []
 
     def x(i):
@@ -225,31 +284,37 @@ def verify_hecke_relations(n: int, N: int, d: int, p: int,
     def t(i):
         return ts[i - 1]
 
+    def mul(a, b):
+        return [mat_mul(u, v, p) for u, v in zip(a, b)]
+
+    def equal(a, b):
+        return all(map(np.array_equal, a, b))
+
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
-            if not np.array_equal(mat_mul(x(i), x(j), p), mat_mul(x(j), x(i), p)):
+            if not equal(mul(x(i), x(j)), mul(x(j), x(i))):
                 report.append(f"X{i} X{j} != X{j} X{i}")
     for i in range(1, N):
-        if not np.array_equal(mat_mul(t(i), t(i), p), eye):
+        if not equal(mul(t(i), t(i)), eye):
             report.append(f"T{i}^2 != 1")
     for i in range(1, N):
         for j in range(i + 2, N):
-            if not np.array_equal(mat_mul(t(i), t(j), p), mat_mul(t(j), t(i), p)):
+            if not equal(mul(t(i), t(j)), mul(t(j), t(i))):
                 report.append(f"T{i} T{j} != T{j} T{i}")
     for i in range(1, N - 1):
-        lhs = mat_mul(mat_mul(t(i), t(i + 1), p), t(i), p)
-        rhs = mat_mul(mat_mul(t(i + 1), t(i), p), t(i + 1), p)
-        if not np.array_equal(lhs, rhs):
+        lhs = mul(mul(t(i), t(i + 1)), t(i))
+        rhs = mul(mul(t(i + 1), t(i)), t(i + 1))
+        if not equal(lhs, rhs):
             report.append(f"T{i} T{i+1} T{i} != T{i+1} T{i} T{i+1}")
     for i in range(1, N):
-        lhs = (mat_mul(t(i), x(i + 1), p) - mat_mul(x(i), t(i), p)) % p
-        if not np.array_equal(lhs, eye):
+        lhs = [(u - v) % p for u, v in zip(mul(t(i), x(i + 1)), mul(x(i), t(i)))]
+        if not equal(lhs, eye):
             report.append(f"T{i} X{i+1} - X{i} T{i} != 1")
     for i in range(1, N):
         for j in range(1, N + 1):
             if j - i in (0, 1):
                 continue
-            if not np.array_equal(mat_mul(t(i), x(j), p), mat_mul(x(j), t(i), p)):
+            if not equal(mul(t(i), x(j)), mul(x(j), t(i))):
                 report.append(f"T{i} X{j} != X{j} T{i}")
     return report
 
@@ -275,9 +340,10 @@ def verify_casimir_coproduct(a: int, factors, space: TensorSpace, p: int) -> boo
 # generalized eigenspaces against the combinatorial prediction
 
 def rank_mod_p(m: np.ndarray, p: int) -> int:
-    """Row-reduction rank over F_p (deterministic pivoting)."""
+    """Row-reduction rank over F_p (deterministic pivoting). Entries are
+    int64 while (p-1)^2 fits, Python integers beyond."""
     require_prime(p)
-    a = np.array(m, dtype=np.int64) % p
+    a = np.array(m, dtype=np.int64 if (p - 1) ** 2 < 2 ** 63 else object) % p
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -302,20 +368,49 @@ def rank_mod_p(m: np.ndarray, p: int) -> int:
     return r
 
 
+# eigenspace dimensions are reported for every residue mod p; this keeps
+# that list, and the loop over it, small enough to hold and to finish
+_MAX_LISTED_P = 10 ** 6
+
+
+def _require_listable_p(p):
+    require_prime(p)
+    if p > _MAX_LISTED_P:
+        raise InputError(f"eigenspace dimensions are listed for every residue "
+                         f"mod p, so p must be at most {_MAX_LISTED_P}, got {p}")
+    return p
+
+
+def _stable_rank(m: np.ndarray, p: int) -> int:
+    """Rank of the powers of m once they stop falling (Fitting): the kernel
+    of that power is the generalized kernel of m."""
+    rank, power = m.shape[0], m
+    while (r := rank_mod_p(power, p)) < rank:
+        rank, power = r, mat_mul(power, m, p)
+    return rank
+
+
 def generalized_eigenspaces(m: np.ndarray, p: int) -> dict[int, int]:
-    """Dimension of the kernel of (m - a)^dim for every a in F_p.
+    """Dimension of the generalized a-eigenspace of m for every a in F_p,
+    summed over the blocks of support_blocks([m]).
 
     Raises VerificationError when the dimensions do not exhaust the space,
     which would mean an eigenvalue outside the prime field."""
-    require_prime(p)
+    _require_listable_p(p)
     m = np.asarray(m, dtype=np.int64) % p
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"matrix must be square, got shape {m.shape}")
     dim = m.shape[0]
-    out = {}
-    for a in range(p):
-        pw = mat_pow((m - a * mat_eye(dim)) % p, dim, p)
-        out[a] = dim - rank_mod_p(pw, p)
+    out = dict.fromkeys(range(p), 0)
+    for blk in support_blocks([m]):
+        sub = m[np.ix_(blk, blk)]
+        found = 0
+        for a in range(p):
+            if found == blk.size:  # eigenspaces of distinct a are independent
+                break
+            k = blk.size - _stable_rank((sub - a * mat_eye(blk.size)) % p, p)
+            out[a] += k
+            found += k
     if sum(out.values()) != dim:
         raise VerificationError(
             f"generalized eigenspace dimensions sum to {sum(out.values())}, "
@@ -341,7 +436,7 @@ def predicted_F_alpha_dims(n: int, d: int, p: int) -> dict[int, int]:
     operator on V tensor V^(tensor d): sum over partitions of d with at most
     n rows of (standard tableau count) times (tableau dimension of the grown
     shape), keyed by the added box residue."""
-    require_prime(p)
+    _require_listable_p(p)
     out = {a: 0 for a in range(p)}
     for lam in partitions_of(d, max_rows=n):
         f_lam = syt_count(lam)

@@ -23,18 +23,38 @@ Box = tuple[int, int]
 # ---------------------------------------------------------------------------
 # primes and parsing
 
+# Miller-Rabin with the first twelve primes as bases has no strong
+# pseudoprime below 3.18 * 10^23 (Sorenson and Webster 2015), so it decides
+# primality exactly on the supported range p < 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_MODULUS = 2 ** 64
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    """Deterministic Miller-Rabin primality test for p < 2^64; larger p
+    raise InputError."""
+    if p <= _MR_BASES[-1]:
+        return p in _MR_BASES
+    if p >= _MAX_MODULUS:
+        raise InputError(f"primality is only decided below 2^64, got {p}")
+    for q in _MR_BASES:
+        if p % q == 0:
             return False
-        f += 2
+    if p < 41 * 41:  # a composite below 41^2 has a prime factor up to 37
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _MR_BASES:
+        x = pow(q, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
     return True
 
 

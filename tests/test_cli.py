@@ -138,6 +138,19 @@ def test_exit_code_invalid_input(capsys):
     assert code == 2
 
 
+def test_large_moduli(capsys):
+    # a 60-bit prime is accepted at once; 2^64 and above are refused
+    code, out, _ = run(capsys, "signature", "--p", "1000000000000000003",
+                       "--alpha", "1", "--weight", "1,0")
+    assert code == 0 and out.startswith("raw: ")
+    code, _, err = run(capsys, "signature", "--p", str(2 ** 64 + 13),
+                       "--alpha", "1", "--weight", "1,0")
+    assert code == 2 and "2^64" in err
+    # eigendims lists every residue, so p is bounded before any work
+    code, _, err = run(capsys, "eigendims", "--p", "1000003", "--n", "1", "--d", "0")
+    assert code == 2 and "at most" in err
+
+
 def test_exit_code_verification_failure(capsys, monkeypatch):
     import modrep.cli as cli_mod
     monkeypatch.setattr(cli_mod.hecke, "verify_hecke_relations",

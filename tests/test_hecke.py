@@ -1,5 +1,10 @@
+import random
+from math import comb, factorial
+
 import numpy as np
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from modrep import (
     InputError,
@@ -22,7 +27,9 @@ from modrep import (
     verify_hecke_relations,
     x_on_module_tower,
 )
-from modrep.hecke import mat_eye, mat_mul, mat_pow
+from modrep.hecke import mat_eye, mat_mul, support_blocks
+
+from hecke_oracle import mat_pow
 
 
 def test_tensor_space_basis_order():
@@ -176,6 +183,62 @@ def test_rank_mod_p():
     assert rank_mod_p(mat_eye(4), 7) == 4
 
 
+def _sympy_rank(rows, p):
+    field = GF(p)
+    return DomainMatrix([[field(int(v)) for v in row] for row in rows],
+                        (len(rows), len(rows[0])), field).rank()
+
+
+@pytest.mark.parametrize("p", (4294967311, 2 ** 61 - 1, 2 ** 64 - 59))
+def test_rank_mod_p_large_prime(p):
+    # int64 products of residues overflow for p > 2^31.5; the result must
+    # still be exact
+    rng = random.Random(p)
+    for _ in range(20):
+        rows = [[rng.randrange(p) for _ in range(6)] for _ in range(5)]
+        c = [rng.randrange(p) for _ in range(5)]
+        rows.append([sum(ci * row[k] for ci, row in zip(c, rows)) % p for k in range(6)])
+        assert rank_mod_p(np.array(rows, dtype=object), p) == _sympy_rank(rows, p) == 5
+        rows = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
+        assert rank_mod_p(np.array(rows, dtype=object), p) == _sympy_rank(rows, p)
+
+
+def _weight_spaces(space):
+    """Basis indices grouped by the multiset of entries of their tuples."""
+    groups = {}
+    for idx in range(space.dim):
+        groups.setdefault(tuple(sorted(space.tuple_of(idx))), []).append(idx)
+    return sorted(groups.values())
+
+
+@pytest.mark.parametrize("n,N,d", ((2, 2, 1), (3, 2, 0), (2, 4, 1), (3, 3, 1), (4, 2, 1),
+                                   (3, 1, 2), (3, 3, 3)))
+def test_support_blocks_are_weight_spaces(n, N, d):
+    p = 3
+    ops = ([build_Xi(i, N, d, n, p) for i in range(1, N + 1)]
+           + [build_Ti(i, N, d, n, p) for i in range(1, N)])
+    blocks = support_blocks(ops)
+    D = N + d
+    assert [blk.tolist() for blk in blocks] == _weight_spaces(TensorSpace(n, D))
+    assert len(blocks) == comb(D + n - 1, n - 1)
+    parts = [D // n + (k < D % n) for k in range(n)]
+    central = factorial(D) // np.prod([factorial(k) for k in parts])
+    assert max(blk.size for blk in blocks) == central
+    # every operator is block diagonal: no entry joins two blocks
+    label = np.empty(n ** D, dtype=int)
+    for k, blk in enumerate(blocks):
+        label[blk] = k
+    for m in ops:
+        rows, cols = np.nonzero(m)
+        assert (label[rows] == label[cols]).all()
+
+
+def test_support_blocks_of_weight_729():
+    # the dim-729 tower of the benchmark: 28 weight spaces, the largest 90
+    blocks = support_blocks([x_on_module_tower(3, 5, 3)])
+    assert len(blocks) == 28 and max(blk.size for blk in blocks) == 90
+
+
 def test_mat_pow():
     m = np.array([[1, 1], [0, 1]], dtype=np.int64)
     assert np.array_equal(mat_pow(m, 5, 3), np.array([[1, 2], [0, 1]]))
@@ -203,6 +266,15 @@ def test_generalized_eigenspaces_detects_outside_spectrum():
     m = np.array([[0, 1], [-1, 0]], dtype=np.int64)
     with pytest.raises(VerificationError):
         generalized_eigenspaces(m, 3)
+
+
+def test_listed_residues_are_bounded():
+    # 1000003 is a prime above the bound: refused before any dict of
+    # residues is built
+    with pytest.raises(InputError):
+        generalized_eigenspaces(np.zeros((1, 1), dtype=np.int64), 1000003)
+    with pytest.raises(InputError):
+        predicted_F_alpha_dims(2, 1, 1000003)
 
 
 def test_syt_count():

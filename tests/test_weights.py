@@ -1,6 +1,9 @@
 import itertools
+import random
+import time
 
 import pytest
+import sympy
 
 from modrep import (
     InputError,
@@ -13,6 +16,7 @@ from modrep import (
     dominant_weights,
     format_int_tuple,
     is_dominant,
+    is_prime,
     normalize_partition,
     parse_int_tuple,
     partitions_of,
@@ -176,6 +180,43 @@ def test_prime_validation():
     for bad in (0, 1, 4, 6, 9, -3, "5"):
         with pytest.raises(InputError):
             require_prime(bad)
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+              321197185, 5394826801, 232250619601, 9746347772161)
+# strong pseudoprimes to several of the first prime bases at once
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051)
+
+
+def test_is_prime_against_sympy():
+    rng = random.Random(20260)
+    samples = [rng.randrange(2 ** 64) for _ in range(3000)]
+    samples += [rng.randrange(2 ** 64) | 1 for _ in range(3000)]
+    samples += list(range(-3, 2000))
+    for k in samples:
+        assert is_prime(k) == sympy.isprime(k), k
+
+
+def test_is_prime_rejects_carmichael_and_pseudoprimes():
+    for k in CARMICHAEL + STRONG_PSEUDOPRIMES:
+        assert not sympy.isprime(k)
+        assert not is_prime(k), k
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+    assert not is_prime(2 ** 64 - 1)
+
+
+def test_primality_range():
+    with pytest.raises(InputError):
+        is_prime(2 ** 64)
+    with pytest.raises(InputError):
+        require_prime(2 ** 89 - 1)
+
+
+def test_require_large_prime_is_fast():
+    t0 = time.perf_counter()
+    assert require_prime(10 ** 18 + 3) == 10 ** 18 + 3
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_parse_format_roundtrip():
