@@ -9,7 +9,7 @@ of (m - a)^dim. They cost O(dim^3) per product; keep them to dim <= 256.
 import numpy as np
 
 from modrep import VerificationError, rank_mod_p
-from modrep.hecke import mat_eye, mat_mul
+from modrep.hecke import mat_eye, mat_mul, mat_pow
 
 
 def loop_matrix_unit_action(i, j, factors, space, p):
@@ -52,17 +52,6 @@ def dense_tensor_casimir(a, factors, space, p):
             m = (m + mat_mul(loop_matrix_unit_action(i, j, [a], space, p),
                              loop_matrix_unit_action(j, i, factors, space, p), p)) % p
     return m
-
-
-def mat_pow(m, k, p):
-    result = mat_eye(m.shape[0])
-    base = np.asarray(m, dtype=np.int64) % p
-    while k:
-        if k & 1:
-            result = mat_mul(result, base, p)
-        base = mat_mul(base, base, p)
-        k >>= 1
-    return result
 
 
 def dense_eigenspaces(m, p):

@@ -27,9 +27,8 @@ from modrep import (
     verify_hecke_relations,
     x_on_module_tower,
 )
-from modrep.hecke import mat_eye, mat_mul, support_blocks
-
-from hecke_oracle import mat_pow
+from modrep import hecke
+from modrep.hecke import _block_groups, mat_eye, mat_mul, mat_pow, support_blocks
 
 
 def test_tensor_space_basis_order():
@@ -237,6 +236,40 @@ def test_support_blocks_of_weight_729():
     # the dim-729 tower of the benchmark: 28 weight spaces, the largest 90
     blocks = support_blocks([x_on_module_tower(3, 5, 3)])
     assert len(blocks) == 28 and max(blk.size for blk in blocks) == 90
+
+
+@pytest.mark.parametrize("n,D", ((2, 3), (2, 6), (3, 5), (4, 4)))
+def test_block_groups_partition_the_blocks(n, D):
+    blocks = support_blocks([build_Xi(1, 1, D - 1, n, 3)])
+    groups = _block_groups(blocks)
+    assert sorted(np.concatenate(groups).tolist()) == list(range(n ** D))
+    owner = {int(i): k for k, blk in enumerate(blocks) for i in blk}
+    for g in groups:
+        members = {owner[int(i)] for i in g}
+        # whole blocks only, and a group over the size limit is one block
+        assert sum(blocks[k].size for k in members) == g.size
+        assert g.size <= hecke._GROUP_SIZE or len(members) == 1
+
+
+@pytest.mark.parametrize("n,N,d", ((2, 3, 1), (3, 2, 0), (2, 4, 2), (3, 3, 1)))
+def test_relation_suite_multiplies_square_groups(n, N, d, monkeypatch):
+    # every product is a square 2-D group product (so a product count of
+    # 2*s^3 flops each is exact), and a suite of dim <= the group size is
+    # checked on full matrices
+    shapes = []
+
+    def recording_mul(a, b, p):
+        shapes.append((a.shape, b.shape))
+        return mat_mul(a, b, p)
+
+    monkeypatch.setattr(hecke, "mat_mul", recording_mul)
+    assert verify_hecke_relations(n, N, d, 3) == []
+    dim = n ** (N + d)
+    assert shapes and all(len(a) == 2 and a[0] == a[1] and a == b for a, b in shapes)
+    if dim <= hecke._GROUP_SIZE:
+        assert {a for a, _ in shapes} == {(dim, dim)}
+    else:
+        assert max(a[0] for a, _ in shapes) < dim
 
 
 def test_mat_pow():

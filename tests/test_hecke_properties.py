@@ -126,8 +126,10 @@ def test_generalized_eigenspaces_outside_spectrum(p):
 
 @st.composite
 def tower_shapes(draw):
+    # dims 8..81; from 64 up the suite runs on several block groups
     n, N, d = draw(st.sampled_from(((2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 3, 2),
-                                    (3, 3, 0), (2, 2, 3), (4, 2, 1))))
+                                    (3, 3, 0), (2, 2, 3), (4, 2, 1), (2, 4, 2),
+                                    (3, 3, 1))))
     return n, N, d, draw(st.sampled_from((3, 5)))
 
 
@@ -146,14 +148,21 @@ def test_relation_report_on_corrupted_operators(shape, data):
     assert verify_hecke_relations(n, N, d, p, xs=xs, ts=ts) == dense_hecke_report(xs, ts, p)
 
 
-def test_relation_report_with_entry_outside_weight_blocks():
-    n, N, d, p = 2, 3, 1, 3
+@pytest.mark.parametrize("n,N,d,rows", (
+    # basis 0 is (0,0,0,0), basis 1 is (0,0,0,1): the one-group dim-16 tower
+    (2, 3, 1, (0, 1)),
+    # (0,0,0,1,1,1) and (0,0,1,1,1,1): weight blocks of sizes 20 and 15,
+    # in different groups of the dim-64 tower
+    (2, 4, 2, (0b000111, 0b001111)),
+))
+def test_relation_report_with_entry_outside_weight_blocks(n, N, d, rows):
+    p = 3
     xs = [build_Xi(i, N, d, n, p) for i in range(1, N + 1)]
     ts = [build_Ti(i, N, d, n, p) for i in range(1, N)]
     space = TensorSpace(n, N + d)
-    # basis 0 is (0,0,0,0), basis 1 is (0,0,0,1): different weight spaces
-    assert sorted(space.tuple_of(0)) != sorted(space.tuple_of(1))
-    xs[1][0, 1] = 1
+    r, c = rows
+    assert sorted(space.tuple_of(r)) != sorted(space.tuple_of(c))
+    xs[1][r, c] = 1
     assert len(support_blocks(xs + ts)) < len(support_blocks(
         [build_Xi(i, N, d, n, p) for i in range(1, N + 1)] + ts))
     report = verify_hecke_relations(n, N, d, p, xs=xs, ts=ts)
